@@ -1,12 +1,14 @@
-"""Graphulo-on-NoSQL thesis benchmark: server-side TableMult vs
-client-side scan→SpGEMM→write, with the cost-model counters.
+"""Graphulo-on-NoSQL thesis benchmark: TableMult vs an
+associative-array round trip (scan→SpGEMM→write), with the cost-model
+counters.
 
-Wall-clock on one process can't show the distributed win, so alongside
-pytest-benchmark timings this module reports the simulation's *work*
-counters: entries read/written and iterator seeks per strategy.  The
-shape that must hold (and is asserted): the server-side op reads each
-input entry exactly once and writes only result entries, while the
-client-side path additionally ships every input entry out of and every
+TableMult scans both operand tables into the client-side SpGEMM engine
+and writes one reduced cell per output; the round trip materialises
+the tables as associative arrays first.  Alongside pytest-benchmark
+timings this module reports the simulation's *work* counters: entries
+read/written and iterator seeks per strategy.  The shape that must hold
+(and is asserted): TableMult writes at least the result entries, while
+the round trip additionally ships every input entry out of and every
 result entry back into the database.
 """
 
@@ -97,9 +99,9 @@ def test_cost_model_shape(benchmark, workload, capsys):
               f"({workload.nnz} input entries, {c.nnz} result entries):")
         print(f"  server-side iterators : {stats_server}")
         print(f"  client-side roundtrip : {stats_client}")
-    # server-side writes the partial-product stream (combined by the
-    # result table's iterator), which is at least the result size;
-    # client-side must ship the whole input out of the DB first.
+    # TableMult writes one reduced cell per output (the result table's
+    # combiner folds it), i.e. the result size; client-side must also
+    # ship the whole input out of the DB first.
     assert stats_server.entries_written >= c.nnz
     assert stats_client.entries_written >= c.nnz
     assert stats_client.entries_read >= workload.nnz

@@ -7,9 +7,10 @@ tablets spread over tablet servers), and the analytics run *server
 side* through the iterator framework:
 
 * degree table maintenance (D4M Tdeg; one Reduce),
-* TableMult — SpGEMM as a streaming two-table iterator writing partial
-  products into a summing-combiner table (two-hop / common-neighbour
-  counts without ever building a client-side matrix),
+* TableMult — SpGEMM from table to table: both operands are scanned
+  into the client-side SpGEMM engine and one reduced cell per output
+  is written into a summing-combiner table (two-hop /
+  common-neighbour counts),
 * degree-filtered k-hop BFS via BatchScanner row fetches.
 
 Work counters (seeks, entries read/written) are reported per op — the
@@ -70,7 +71,7 @@ def main() -> None:
                   for c in conn.scanner("deg"))
     print(f"    max-degree vertices: {[(r, int(d)) for d, r in degs[-3:]]}")
 
-    print("\n[2] Graphulo TableMult: two-hop counts C = AᵀA, server side")
+    print("\n[2] Graphulo TableMult: two-hop counts C = AᵀA, table to table")
     stats = table_mult(conn, "edges", "edges", "twohop")
     print(f"    cost: {stats}")
     c = table_to_assoc(conn, "twohop")

@@ -4,11 +4,12 @@ These are the database-resident forms of the GraphBLAS kernels — the
 paper's stated goal ("use Accumulo server components such as iterators
 to perform graph analytics"):
 
-* :func:`table_mult` — SpGEMM as Graphulo's TableMult: stream the rows
-  of stored-transpose ``AT`` and of ``B`` through a two-table iterator,
-  emit partial products to the result table, and let the result table's
-  *summing combiner* perform ⊕ — the multiply never materialises a
-  client-side matrix;
+* :func:`table_mult` — SpGEMM as Graphulo's TableMult: both operands
+  (stored-transpose ``AT`` and ``B``) are scanned through the columnar
+  path into the client-side SpGEMM engine, and one reduced cell per
+  output is written to the result table, whose combiner folds it with
+  what the table already holds.  Running the multiply inside the
+  tablet servers, as Graphulo does, is not implemented;
 * :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
   value filters via the iterator stack;
@@ -21,10 +22,11 @@ created on demand with the right combiner.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.assoc.keyset import union_keys
 from repro.dbsim.client import Connector
 from repro.dbsim.iterators import (
     ApplyIterator,
@@ -37,6 +39,10 @@ from repro.dbsim.key import Cell, Range, decode_number
 from repro.dbsim.server import TableConfig
 from repro.dbsim.stats import OpStats
 from repro.obs import trace as _trace
+from repro.semiring.builtin import MAX_MONOID, MIN_MONOID, PLUS_MONOID, TIMES
+from repro.semiring.ops import BinaryOp, Semiring
+from repro.sparse.construct import from_coo
+from repro.sparse.spgemm import mxm
 
 #: name → combiner factory for result tables (the ⊕ of the semiring).
 COMBINERS = {
@@ -44,6 +50,8 @@ COMBINERS = {
     "min": MinCombiner,
     "max": MaxCombiner,
 }
+#: the same ⊕ as a semiring monoid, for TableMult's SpGEMM engine.
+_MONOIDS = {"sum": PLUS_MONOID, "min": MIN_MONOID, "max": MAX_MONOID}
 
 
 def create_combiner_table(conn: Connector, name: str, combiner: str = "sum",
@@ -69,171 +77,81 @@ def _spec():
 
 def _default_mul(a: float, b: float) -> float:
     """Default ⊗ for TableMult (arithmetic multiply).  Kept as a named
-    module-level function so the engine path can recognise it and use
-    the vectorised TIMES operator instead of a promoted Python call."""
+    module-level function so TableMult can recognise it and use the
+    vectorised TIMES operator instead of a promoted Python call."""
     return a * b
 
 
 def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
                mul: Callable[[float, float], float] = _default_mul,
                combiner: str = "sum", authorizations=None,
-               via: str = "stream", strategy: str = "auto",
+               via: str = "engine", strategy: str = "auto",
                expansion_budget: Optional[int] = None) -> OpStats:
     """Graphulo TableMult: ``C = Aᵀ ⊕.⊗ B`` with ``AT`` stored row-wise
     (Accumulo can only iterate rows, hence the stored transpose — the
     same reason the D4M schema keeps TedgeT).
 
-    ``via="stream"`` (default) streams both tables' rows in sorted
-    order; on a shared inner row ``t`` it emits ``(u, v) → A(t,u) ⊗
-    B(t,v)`` into ``out``, whose combiner applies ⊕ across colliding
-    partial products.  ``via="engine"`` instead scans both tables into
-    key-aligned sparse matrices, runs the adaptive SpGEMM engine
+    Both tables are scanned through the columnar path into key-aligned
+    sparse matrices (the D4M table ↔ associative-array isomorphism) held
+    by the client; the adaptive SpGEMM engine
     (:func:`repro.sparse.spgemm.mxm` — ``strategy`` and
-    ``expansion_budget`` are forwarded), and writes the already-reduced
-    result back — one write per output cell instead of one per partial
-    product, at the cost of holding both operands client-side.  Returns
-    the instance-wide stats delta for the whole operation (the cost
-    model).
+    ``expansion_budget`` are forwarded) computes the product under the
+    semiring (``combiner`` as ⊕, ``mul`` as ⊗; a Python callable is
+    promoted to a :class:`~repro.semiring.ops.BinaryOp`), and one
+    already-reduced cell per output is written to ``out``.  ``out``'s
+    combiner folds that cell with whatever the table already holds, so
+    repeated calls accumulate.  ``via`` accepts only ``"engine"``.
+    Returns the instance-wide stats delta for the whole operation (the
+    cost model).
     """
-    if via not in ("stream", "engine"):
-        raise ValueError(f"via must be 'stream' or 'engine', got {via!r}")
+    if via != "engine":
+        raise ValueError(f"via must be 'engine', got {via!r}")
     inst = conn.instance
-    if _trace.ENABLED:
-        with _trace.span("graphulo.table_mult", stats=inst.total_stats,
-                         table_at=table_at, table_b=table_b, out=out,
-                         combiner=combiner, via=via):
-            return _table_mult_dispatch(conn, table_at, table_b, out, mul,
-                                        combiner, authorizations, via,
-                                        strategy, expansion_budget)
-    return _table_mult_dispatch(conn, table_at, table_b, out, mul, combiner,
-                                authorizations, via, strategy,
-                                expansion_budget)
+    with _trace.span("graphulo.table_mult", stats=inst.total_stats,
+                     table_at=table_at, table_b=table_b, out=out,
+                     combiner=combiner):
+        before = inst.total_stats().snapshot()
+        if not conn.table_exists(out):
+            create_combiner_table(conn, out, combiner=combiner)
 
+        def scan_keyed(table):
+            """Scan a table into (row keys, col keys, values) triples.
+            Columnar batches feed the key/value lists directly — no Cell
+            objects exist between tablet storage and the engine."""
+            rows, cols, vals = [], [], []
+            scanner = conn.scanner(table, authorizations=authorizations)
+            for batch in scanner.scan_columns():
+                rows.extend(batch.rows)
+                cols.extend(batch.qualifiers)
+                vals.extend(map(decode_number, batch.values))
+            return np.asarray(rows, dtype=str), np.asarray(cols, dtype=str), \
+                np.asarray(vals, dtype=np.float64)
 
-def _table_mult_dispatch(conn, table_at, table_b, out, mul, combiner,
-                         authorizations, via, strategy,
-                         expansion_budget) -> OpStats:
-    if via == "engine":
-        return _table_mult_engine(conn, table_at, table_b, out, mul,
-                                  combiner, authorizations, strategy,
-                                  expansion_budget)
-    return _table_mult(conn, table_at, table_b, out, mul, combiner,
-                       authorizations)
+        at_r, at_c, at_v = scan_keyed(table_at)
+        b_r, b_c, b_v = scan_keyed(table_b)
+        # align the shared inner dimension (the tables' row keys)
+        inner = union_keys(np.unique(at_r), np.unique(b_r))
+        u_keys = np.unique(at_c)
+        v_keys = np.unique(b_c)
+        mat_at = from_coo(len(inner), len(u_keys),
+                          np.searchsorted(inner, at_r),
+                          np.searchsorted(u_keys, at_c), at_v)
+        mat_b = from_coo(len(inner), len(v_keys),
+                         np.searchsorted(inner, b_r),
+                         np.searchsorted(v_keys, b_c), b_v)
 
-
-def _table_mult(conn: Connector, table_at: str, table_b: str, out: str,
-                mul: Callable[[float, float], float], combiner: str,
-                authorizations) -> OpStats:
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        create_combiner_table(conn, out, combiner=combiner)
-
-    # Two sorted row streams, advanced in lockstep (the TwoTableIterator).
-    a_cells = iter(conn.scanner(table_at, authorizations=authorizations))
-    b_cells = iter(conn.scanner(table_b, authorizations=authorizations))
-
-    def next_row(stream) -> Optional[Tuple[str, list]]:
-        """Pull one whole row (sorted cells share contiguous row keys)."""
-        head = stream["head"]
-        if head is None:
-            return None
-        row = head.key.row
-        cells = [head]
-        stream["head"] = None
-        for cell in stream["iter"]:
-            if cell.key.row != row:
-                stream["head"] = cell
-                break
-            cells.append(cell)
-        return row, cells
-
-    sa = {"iter": a_cells, "head": next(a_cells, None)}
-    sb = {"iter": b_cells, "head": next(b_cells, None)}
-    ra = next_row(sa)
-    rb = next_row(sb)
-    with conn.batch_writer(out) as writer:
-        while ra is not None and rb is not None:
-            if ra[0] < rb[0]:
-                ra = next_row(sa)
-            elif rb[0] < ra[0]:
-                rb = next_row(sb)
-            else:
-                for ca in ra[1]:
-                    av = decode_number(ca.value)
-                    for cb in rb[1]:
-                        prod = mul(av, decode_number(cb.value))
-                        writer.put(ca.key.qualifier, "", cb.key.qualifier,
-                                   prod)
-                ra = next_row(sa)
-                rb = next_row(sb)
-    conn.compact(out)  # make the combined result durable/canonical
-    return inst.total_stats().delta(before)
-
-
-def _table_mult_engine(conn: Connector, table_at: str, table_b: str,
-                       out: str, mul, combiner: str, authorizations,
-                       strategy: str, expansion_budget) -> OpStats:
-    """TableMult through the adaptive SpGEMM engine.
-
-    Scans both tables into string-key-aligned CSR matrices (the D4M
-    table ↔ associative-array isomorphism), computes ``ATᵀ ⊕.⊗ B`` with
-    the requested strategy, and writes the reduced result cells.
-    """
-    from repro.assoc.keyset import union_keys
-    from repro.semiring.builtin import MAX_MONOID, MIN_MONOID, PLUS_MONOID, TIMES
-    from repro.semiring.ops import BinaryOp, Semiring
-    from repro.sparse.construct import from_coo
-    from repro.sparse.spgemm import mxm
-
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        create_combiner_table(conn, out, combiner=combiner)
-
-    def scan_keyed(table):
-        """Scan a table into (row keys, col keys, values) triples.
-        Columnar batches feed the key/value lists directly — no Cell
-        objects exist between tablet storage and the engine."""
-        rows, cols, vals = [], [], []
-        scanner = conn.scanner(table, authorizations=authorizations)
-        for batch in scanner.scan_columns():
-            rows.extend(batch.rows)
-            cols.extend(batch.qualifiers)
-            vals.extend(map(decode_number, batch.values))
-        return np.asarray(rows, dtype=str), np.asarray(cols, dtype=str), \
-            np.asarray(vals, dtype=np.float64)
-
-    at_r, at_c, at_v = scan_keyed(table_at)
-    b_r, b_c, b_v = scan_keyed(table_b)
-    if len(at_r) == 0 or len(b_r) == 0:
+        mulop = TIMES if mul is _default_mul else \
+            BinaryOp.from_python("table_mult_mul", mul)
+        semiring = Semiring(f"table_mult_{combiner}", _MONOIDS[combiner],
+                            mulop)
+        c = mxm(mat_at.T, mat_b, semiring=semiring, strategy=strategy,
+                expansion_budget=expansion_budget)
+        rows, cols, vals = c.to_coo()
+        with conn.batch_writer(out) as writer:
+            for i, j, v in zip(rows, cols, vals):
+                writer.put(str(u_keys[i]), "", str(v_keys[j]), float(v))
         conn.compact(out)
         return inst.total_stats().delta(before)
-
-    # align the shared inner dimension (the tables' row keys)
-    inner = union_keys(np.unique(at_r), np.unique(b_r))
-    u_keys = np.unique(at_c)
-    v_keys = np.unique(b_c)
-    mat_at = from_coo(len(inner), len(u_keys),
-                      np.searchsorted(inner, at_r),
-                      np.searchsorted(u_keys, at_c), at_v)
-    mat_b = from_coo(len(inner), len(v_keys),
-                     np.searchsorted(inner, b_r),
-                     np.searchsorted(v_keys, b_c), b_v)
-
-    add = {"sum": PLUS_MONOID, "min": MIN_MONOID, "max": MAX_MONOID}[combiner]
-    mulop = TIMES if mul is _default_mul else \
-        BinaryOp.from_python("table_mult_mul", mul)
-    semiring = Semiring(f"table_mult_{combiner}", add, mulop)
-
-    c = mxm(mat_at.T, mat_b, semiring=semiring, strategy=strategy,
-            expansion_budget=expansion_budget)
-    rows, cols, vals = c.to_coo()
-    with conn.batch_writer(out) as writer:
-        for i, j, v in zip(rows, cols, vals):
-            writer.put(str(u_keys[i]), "", str(v_keys[j]), float(v))
-    conn.compact(out)
-    return inst.total_stats().delta(before)
 
 
 def degree_table(conn: Connector, table: str, out: str,

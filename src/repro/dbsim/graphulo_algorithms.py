@@ -5,9 +5,11 @@ of the algorithms discussed in this article to associative arrays ...
 directly on Accumulo data structures" — realised for the two worked
 algorithms: Jaccard (Algorithm 2) and k-truss (Algorithm 1) running as
 sequences of TableMult / filter / intersect operations on database
-tables, never materialising a client-side matrix larger than a degree
-vector.  (The real Graphulo library shipped exactly these as its
-flagship ops in its follow-up papers.)
+tables.  Every TableMult scans its operand tables into the client-side
+SpGEMM engine and writes one reduced cell per output; the other steps
+stream cells through the client.  (The real Graphulo library shipped
+exactly these as its flagship ops in its follow-up papers, running
+them inside the tablet servers.)
 """
 
 from __future__ import annotations

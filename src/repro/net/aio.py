@@ -144,8 +144,9 @@ class _Stream:
 
     async def get_many(self, timeout: float) -> list:
         """Await one frame, then drain whatever else the reader already
-        queued — one consumer wakeup delivers every buffered CHUNK
-        instead of paying a loop round-trip per frame.
+        queued, up to :data:`STREAM_WINDOW_CHUNKS` frames — one consumer
+        wakeup delivers a run of buffered CHUNKs instead of paying a
+        loop round-trip per frame.
 
         Buffered progress is delivered before failure: if an exception
         sits behind queued frames, those frames are returned now and
@@ -179,7 +180,10 @@ class _Stream:
                 self.queue.put_nowait(item)  # surfaced on the next call
                 return items
             items.append(item)
-            if item[0] in (wire.DONE, wire.ERROR):
+            # frames returned here are not yet consumed, so one round
+            # holds at most the window the reader enforces on the queue
+            if item[0] in (wire.DONE, wire.ERROR) or \
+                    len(items) >= STREAM_WINDOW_CHUNKS:
                 return items
 
 

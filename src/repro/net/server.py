@@ -343,16 +343,29 @@ class _BaseService:
         context: activating it makes the handler span a child of the
         originating client span, even across processes."""
         if not _trace.ENABLED:
-            self._serve_inner(state, code, payload, req, arrived)
-            return
-        ctx = _trace.TraceContext(*tc) if tc else None
-        name = _SERVER_SPAN_NAMES.get(code) or \
-            f"rpc.server.{wire.OP_NAMES.get(code, hex(code))}"
-        with _trace.span(name, parent_ctx=ctx, server=self.name):
-            self._serve_inner(state, code, payload, req, arrived)
+            out_code = self._serve_inner(state, code, payload, req, arrived)
+        else:
+            ctx = _trace.TraceContext(*tc) if tc else None
+            name = _SERVER_SPAN_NAMES.get(code) or \
+                f"rpc.server.{wire.OP_NAMES.get(code, hex(code))}"
+            with _trace.span(name, parent_ctx=ctx, server=self.name):
+                out_code = self._serve_inner(state, code, payload, req,
+                                             arrived)
+        if code == wire.SHUTDOWN and out_code == wire.OK:
+            # only after the handler span has closed: stop() releases a
+            # server process's main thread, which disables tracing and
+            # exits — a span still open at that point is lost
+            self.stop()
+            state.alive = False
+            try:  # unblock the reader without killing in-flight sends
+                state.sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
 
     def _serve_inner(self, state: _ConnState, code: int, payload,
-                     req: int, arrived: float) -> None:
+                     req: int, arrived: float) -> Optional[int]:
+        """Run one request under the service lock and send its reply;
+        returns the reply's op-code (``None`` for a replayed ack)."""
         meta = payload.meta if isinstance(payload, wire.CellsPayload) \
             else payload
         session = meta.get("session") if isinstance(meta, dict) else None
@@ -392,13 +405,7 @@ class _BaseService:
                     window.popitem(last=False)
         self._respond(state, out_code, out_payload, code, req)
         self._observe_times(arrived, dispatched)
-        if code == wire.SHUTDOWN and out_code == wire.OK:
-            self.stop()
-            state.alive = False
-            try:  # unblock the reader without killing in-flight sends
-                state.sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
+        return out_code
 
     def _observe_times(self, arrived: float, dispatched: float) -> None:
         """Record queue (arrival → dispatch) and service (dispatch →
@@ -610,12 +617,11 @@ class TabletServerService(_BaseService):
     # -- data path --------------------------------------------------------
 
     def _write_batch(self, p) -> dict:
-        if isinstance(p, wire.CellsPayload):
-            meta = p.meta
-            muts = cells.decode_mutations(p.block)
-        else:  # JSON fallback (hand-rolled clients / old tooling)
-            meta = p
-            muts = [tuple(m) for m in p["mutations"]]
+        if not isinstance(p, wire.CellsPayload):
+            raise wire.ProtocolError(
+                "WRITE_BATCH payload must be a binary cell block")
+        meta = p.meta
+        muts = cells.decode_mutations(p.block)
         table, tablet = self._get(meta)
         extent = tablet.extent
         for mut in muts:

@@ -6,6 +6,7 @@ same sockets, same wire protocol, no spawn cost.  One test boots real
 OS processes end to end.
 """
 
+import socket
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance, TableConfig
+from repro.net import wire
 from repro.net.client import RemoteConnector, RetryPolicy
 from repro.net.cluster import LocalCluster
 from repro.net.server import SCAN_CHUNK_CELLS
@@ -79,6 +81,24 @@ class TestClusterBasics:
             with pytest.raises(ValueError, match="not wire-serializable"):
                 conn.create_table(
                     "bad", TableConfig(table_iterators=(lambda s: s,)))
+        finally:
+            conn.close()
+
+    def test_json_write_batch_rejected_and_applies_nothing(self, cluster):
+        """WRITE_BATCH carries a binary cell block; a dict payload from
+        a hand-rolled client is a typed ERROR reply, not a write."""
+        conn = _fresh(cluster)
+        try:
+            conn.create_table("raw")
+            tablet = conn.instance.locate("raw", "r")
+            with socket.create_connection(tablet.addr, timeout=5.0) as sock:
+                wire.send_frame(sock, wire.WRITE_BATCH, {
+                    "table": "raw", "tablet_id": tablet.tablet_id,
+                    "mutations": [["r", "", "q", "1", False]]}, req=1)
+                code, payload, _, _, req = wire.recv_frame(sock)
+            assert (code, req) == (wire.ERROR, 1)
+            assert "cell block" in payload["message"]
+            assert list(conn.scanner("raw")) == []
         finally:
             conn.close()
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import degree_table, table_bfs, table_mult
+from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
 from repro.dbsim.server import Instance
 from repro.net.cluster import LocalCluster
 from repro.net.server import SCAN_CHUNK_CELLS
@@ -46,18 +47,30 @@ def _ingest_graph(conn):
             for v in range(5):
                 if (t * v) % 4 != 1:
                     w.put(f"t{t}", "", f"w{v}", t - v)
+    # symmetric 0/1 adjacency: ring s0..s7 with chords to i+2 (every
+    # edge in a triangle) plus a pendant s8–s0 that 3-truss drops
+    edges = [(i, (i + d) % 8) for i in range(8) for d in (1, 2)] + [(8, 0)]
+    conn.create_table("S", splits=["s4"])
+    with conn.batch_writer("S", buffer_size=16) as w:
+        for u, v in edges:
+            w.put(f"s{u}", "", f"s{v}", 1)
+            w.put(f"s{v}", "", f"s{u}", 1)
 
 
 def _run_kernels(conn):
-    """Run the three columnar-consuming kernels; return everything an
-    equality check needs (result cells include timestamps)."""
-    table_mult(conn, "AT", "B", "C", via="engine")
+    """Run the columnar-consuming kernels and the TableMult-built
+    algorithms; return everything an equality check needs (result cells
+    include timestamps)."""
+    table_mult(conn, "AT", "B", "C")
     degree_table(conn, "E", "Edeg")
     bfs = table_bfs(conn, "E", ["v0"], hops=3)
     bfs_deg = table_bfs(conn, "E", ["v0", "v4"], hops=2,
                         min_degree=4.0, degree_table_name="Edeg")
+    table_ktruss(conn, "S", "Struss", k=3)
+    table_jaccard(conn, "S", "Sjac")
     return (list(conn.scanner("C")), list(conn.scanner("Edeg")),
-            bfs, bfs_deg)
+            bfs, bfs_deg, list(conn.scanner("Struss")),
+            list(conn.scanner("Sjac")))
 
 
 class TestScanColumnsEquivalence:
