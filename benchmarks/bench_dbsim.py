@@ -1,4 +1,5 @@
-"""dbsim I/O path benchmark: ingest rate and BFS scan rate.
+"""dbsim I/O path benchmark: ingest rate, BFS scan rate and combiner
+compaction rate.
 
 Two before/after comparisons ride the same public client API so the
 measurement is honest:
@@ -13,6 +14,11 @@ Both comparisons first assert bit-identical scan output (keys, values
 *and timestamps*), then record rates, speedups and seek counts to a
 BENCH json file (``BENCH.dbsim.json``; override the path with
 ``REPRO_BENCH_JSON``).
+
+A third record, ``combiner_compaction``, has no comparison and no
+gate: the rate at which ``Tablet.compact`` rewrites a TableMult
+(AᵀA) output table through its SummingCombiner.  It is the tracked
+"before" for batch-at-a-time combiners.
 """
 
 import time
@@ -20,14 +26,18 @@ import time
 import pytest
 
 from benchmarks._benchjson import write_bench_json
-from repro.dbsim import Connector, Range, table_bfs
+from repro.dbsim import Connector, Range, table_bfs, table_mult
 from repro.dbsim.server import Instance
 from repro.generators import rmat_graph
 
-#: ~4096-vertex power-law graph, ~32k directed edges
+#: ~4096-vertex power-law graph, 53,436 directed edges
 SCALE = 12
 EDGE_FACTOR = 8
 SPLITS = [f"v{i:05d}" for i in range(512, 4096, 512)]  # 8 tablets
+#: the compaction record squares the graph's block of vertices below
+#: this id: 3,836 edges, ~39k AᵀA output cells (the whole graph's
+#: product holds ~2.4M)
+MULT_BLOCK = 256
 
 _RESULTS = {}
 
@@ -60,9 +70,13 @@ def ingest(conn, edges, buffer_size):
             w.put(r, "", q, "1")
 
 
-def snapshot(conn):
+def snapshot_table(conn, table):
     return [(c.key.row, c.key.qualifier, c.key.timestamp, c.value)
-            for c in conn.scanner("A").set_range(Range())]
+            for c in conn.scanner(table).set_range(Range())]
+
+
+def snapshot(conn):
+    return snapshot_table(conn, "A")
 
 
 def best_of(fn, rounds=3):
@@ -176,3 +190,33 @@ class TestBFSScan:
         assert dist[seed] == 0
         _RESULTS["table_bfs"] = {"hops": 3, "seed": seed,
                                  "reached": len(dist)}
+
+
+class TestCombinerCompaction:
+    def test_tablemult_output_compaction_rate(self, edges, capsys):
+        conn = Connector(Instance(n_servers=1))
+        conn.create_table("B")
+        top = f"v{MULT_BLOCK:05d}"
+        with conn.batch_writer("B") as w:
+            for r, q in edges:
+                if r < top and q < top:
+                    w.put(r, "", q, "1")
+        table_mult(conn, "B", "B", "BtB")  # leaves one compacted run
+        inst = conn.instance
+        tablets = inst.tablets_for_range("BtB", Range())
+        stack = inst.config("BtB").table_iterators
+        cells = sum(t.entry_estimate() for t in tablets)
+        before = snapshot_table(conn, "BtB")
+        # compacting one run of distinct cells rewrites it unchanged, so
+        # every round does the same work
+        t_best, _ = best_of(lambda: [t.compact(stack) for t in tablets])
+        assert snapshot_table(conn, "BtB") == before
+        _RESULTS["combiner_compaction"] = {
+            "cells": cells,
+            "tablets": len(tablets),
+            "best_s": round(t_best, 4),
+            "cells_per_s": round(cells / t_best),
+        }
+        with capsys.disabled():
+            print(f"\ncombiner compaction of TableMult output: {cells} "
+                  f"cells in {t_best:.3f}s ({cells / t_best:,.0f} cells/s)")

@@ -508,10 +508,11 @@ class TestPushdown:
 
 class TestEncodeBlock:
     def test_single_pass_encode_vs_reference(self, capsys):
-        """Micro-bench of the CHUNK encoder: the single-pass
-        ``encode_block`` (one tuple-unpack loop, array+byteswap length
-        packing) against the pre-optimization shape (five separate
-        column passes, one ``struct.pack`` splat per array)."""
+        """Micro-bench of the CHUNK encoder: ``encode_block`` (one
+        C-level transpose, one join + encode per NUL-joined column,
+        array+byteswap timestamps) against the straightforward shape
+        (five separate per-entry column passes, one ``struct.pack``
+        splat per array)."""
         import struct as _struct
 
         from repro.net import cells as _cells
@@ -524,8 +525,9 @@ class TestEncodeBlock:
             parts = [_cells._HDR.pack(_cells.BLOCK_FORMAT, n)]
             for field in (0, 1, 2, 3, 6):
                 col = [m[field].encode("utf-8") for m in ms]
-                parts.append(_struct.pack(f"!{n}I", *map(len, col)))
-                parts.append(b"".join(col))
+                data = b"\0".join(col)
+                parts.append(_struct.pack("!BI", 0, len(data)))
+                parts.append(data)
             parts.append(_struct.pack(f"!{n}q", *(m[4] for m in ms)))
             parts.append(bytes(1 if m[5] else 0 for m in ms))
             return b"".join(parts)

@@ -53,10 +53,10 @@ class TabletBackend(Protocol):
                       scan_iterators: Sequence = ()) -> SortedKVIterator:
         """Build an *unseeked* iterator stack over ``extent ∩ rng``.
 
-        Local tablets build the storage→versioning→iterator stack in
-        process; remote proxies stream cells over RPC and apply the
-        scan-time iterators client-side.  Either way the caller seeks
-        the returned stack and drains it.
+        Local tablets stack the iterators on a per-cell leaf over their
+        merged, versioned storage read; remote proxies stream cells
+        over RPC and apply the scan-time iterators client-side.  Either
+        way the caller seeks the returned stack and drains it.
         """
         ...
 

@@ -3,7 +3,7 @@
 Mirrors the Accumulo client library shape the D4M/Graphulo stack
 programs against: a Connector locates tablets through the Instance, a
 Scanner streams one range in key order, a BatchScanner handles many
-ranges (coalescing sorted row-ranges into one tablet-stack seek per
+ranges (coalescing sorted row-ranges into one tablet read per
 tablet, the way a real BatchScanner amortises RPCs), and a BatchWriter
 buffers mutations and applies them per owning tablet in bulk
 (``Tablet.write_batch``) on flush.
@@ -12,6 +12,7 @@ buffers mutations and applies them per owning tablet in bulk
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dbsim.backend import ConnectorBackend
@@ -128,6 +129,44 @@ def _visible_batch(batch, auths):
     return batch.select(keep)
 
 
+def _scan_layers(auths, spec_factories, user_iterators
+                 ) -> Tuple[IteratorFactory, ...]:
+    """The scan-time iterators to stack over a tablet's read.  A
+    pushed-down spec and user iterators run *above* the visibility
+    filter — the Accumulo ordering (system visibility filter below user
+    iterators), so a combiner/reduce never folds unauthorized cells.
+    With neither there is no stack: visibility is then filtered
+    columnar, after the scan (:func:`_visible_batch`)."""
+    layers = tuple(spec_factories) + tuple(user_iterators)
+    if not layers:
+        return ()
+    return (lambda src: VisibilityFilterIterator(src, auths),) + layers
+
+
+def _cells(pairs) -> Iterator[Cell]:
+    """The per-cell view of a columnar scan: the cells of every
+    ``(tablet, batch)`` pair, built one at a time (a remote batch
+    coalesces every chunk the connection had buffered, so it can be
+    large).  A local tablet's crash flag is re-read between cells, so
+    an open scan dies with its server; remote pairs carry no such
+    tablet (their stream resumes instead) and pass straight through."""
+    return chain.from_iterable(map(_pair_cells, pairs))
+
+
+def _pair_cells(pair) -> Iterator[Cell]:
+    tablet, batch = pair
+    check_up = getattr(tablet, "check_up", None)
+    if check_up is None:
+        return batch.iter_cells()
+    return _guarded_cells(check_up, batch)
+
+
+def _guarded_cells(check_up, batch) -> Iterator[Cell]:
+    for cell in batch.iter_cells():
+        check_up()
+        yield cell
+
+
 class Scanner:
     """Single-range scan in key order across all overlapping tablets."""
 
@@ -140,10 +179,6 @@ class Scanner:
         auths = PUBLIC if authorizations is None else authorizations
         self._auths = auths
         self._user_iterators = tuple(scan_iterators)
-        # visibility filtering runs server-side, before user scan iterators
-        self._vis_factory = (
-            lambda src: VisibilityFilterIterator(src, auths))
-        self._scan_iterators = (self._vis_factory,) + self._user_iterators
         self._iterspec = iterspec
         self._spec_factories, self._spec_wire = _bind_iterspec(
             conn.instance, iterspec)
@@ -161,30 +196,24 @@ class Scanner:
         return self
 
     def __iter__(self) -> Iterator[Cell]:
+        if self._user_iterators and \
+                hasattr(self._conn.instance, "scan_columns"):
+            return self._remote_stacked()
+        return _cells(self._batches())
+
+    def _remote_stacked(self) -> Iterator[Cell]:
+        """Local Python callables over a remote stream: no batch path
+        can run them, so they stack per cell on the proxy's stream (the
+        shipped spec runs server-side, under them)."""
         inst = self._conn.instance
-        if not self._user_iterators and hasattr(inst, "scan_columns"):
-            # remote backend: ride the same fanned-out columnar
-            # transport as scan_columns and materialise Cells on
-            # demand — the per-cell view is a thin layer over batches,
-            # not a second wire path
-            for batch in self.scan_columns():
-                yield from batch.cells()
-            return
-        config = inst.config(self._table)
-        # a pushed-down spec runs *above* the visibility filter and
-        # below user iterators (its factories locally, the shipped wire
-        # form remotely) — the same position a tablet server installs
-        # it at, so a combiner/reduce never folds unauthorized cells
-        scan_its = ((self._vis_factory,) + self._spec_factories
-                    + self._user_iterators)
+        scan_its = _scan_layers(self._auths, (), self._user_iterators)
         kw = ({"iterspec": self._spec_wire,
                "auths": sorted(self._auths.tokens)}
               if self._spec_wire else {})
         # tablets are kept in extent order, so concatenation preserves
         # global key order
         for tablet in inst.tablets_for_range(self._table, self.range):
-            it = tablet.scan_iterator(self.range, config.table_iterators,
-                                      scan_its, **kw)
+            it = tablet.scan_iterator(self.range, (), scan_its, **kw)
             it.seek(self.range, self.columns)
             while it.has_top():
                 yield it.top()
@@ -194,11 +223,11 @@ class Scanner:
         """Bulk columnar read: yields
         :class:`~repro.net.cells.ColumnBatch`\\ es over the scanner's
         range, backend-agnostic (a local ``Tablet`` and a remote
-        ``TabletProxy`` both implement ``scan_columns``).  Entry
-        sequence — timestamps included — is bit-identical to iterating
-        the scanner per cell; no ``Cell`` objects are built.
+        ``TabletProxy`` both implement ``scan_columns``).  Iterating
+        the scanner per cell is a ``batch.cells()`` view over these
+        same batches; no ``Cell`` objects are built here.
 
-        Per-cell user scan iterators cannot run over batches, so
+        Per-cell user scan iterators cannot cross the wire, so
         scanners constructed with ``scan_iterators`` must use the
         regular iteration path.
         """
@@ -206,6 +235,12 @@ class Scanner:
             raise ValueError(
                 "scan_columns cannot run per-cell scan iterators; "
                 "iterate the scanner instead")
+        for _, batch in self._batches():
+            yield batch
+
+    def _batches(self):
+        """``(tablet, batch)`` pairs of the columnar scan (``tablet`` is
+        ``None`` on the remote backend's all-tablet stream)."""
         inst = self._conn.instance
         auths = self._auths
         native = getattr(inst, "scan_columns", None)
@@ -225,20 +260,18 @@ class Scanner:
             for batch in batches:
                 batch = _visible_batch(batch, auths)
                 if len(batch):
-                    yield batch
+                    yield None, batch
             return
         config = inst.config(self._table)
-        # with a spec installed the scan runs a per-cell stack anyway,
-        # so visibility filtering joins it *below* the spec factories
-        scan_its = ((self._vis_factory,) + self._spec_factories
-                    if self._spec_factories else ())
+        scan_its = _scan_layers(auths, self._spec_factories,
+                                self._user_iterators)
         for tablet in inst.tablets_for_range(self._table, self.range):
             for batch in tablet.scan_columns(self.range, self.columns,
                                              config.table_iterators,
                                              scan_its):
                 batch = _visible_batch(batch, auths)
                 if len(batch):
-                    yield batch
+                    yield tablet, batch
 
 
 def _sorted_disjoint(ranges: Sequence[Range]) -> bool:
@@ -259,13 +292,20 @@ class BatchScanner:
 
     When the ranges are sorted and disjoint (``table_bfs`` frontier
     fetches, degree lookups), the scan *coalesces* them per tablet:
-    one iterator stack is built and seeked per overlapping tablet,
-    covering the tablet's whole span of requested ranges, and cells
-    outside every range are filtered on the fly.  Output is
-    bit-identical to the per-range path; the seek count drops from one
-    stack seek per range to one per tablet.  ``coalesce`` forces the
-    choice: ``None`` auto-detects, ``False`` always scans per range,
-    ``True`` requires sorted disjoint ranges (raises otherwise).
+    one read is made per overlapping tablet, covering the tablet's
+    whole span of requested ranges, and cells outside every range are
+    filtered out of its batches.  Output is bit-identical to the
+    per-range path; the seek count drops from one read per range to
+    one per tablet.  ``coalesce`` forces the choice: ``None``
+    auto-detects, ``False`` always scans per range, ``True`` requires
+    sorted disjoint ranges (raises otherwise).
+
+    Iterating per cell is a ``batch.cells()`` view over the same
+    columnar scan as :meth:`scan_columns`.  The one exception is a
+    remote backend with local ``scan_iterators``: those callables stack
+    on each range's per-cell stream, so that scan runs per range
+    whatever ``coalesce`` says (its ``dbsim.batch_scan`` span reports
+    ``coalesced=False``).
     """
 
     def __init__(self, conn: Connector, table: str,
@@ -298,78 +338,32 @@ class BatchScanner:
                 "coalesce=True requires sorted, disjoint ranges")
         return self._coalesce
 
+    def _scanner(self, rng: Range) -> Scanner:
+        scanner = Scanner(self._conn, self._table, self._scan_iterators,
+                          authorizations=self._authorizations,
+                          iterspec=self._iterspec)
+        scanner.range = rng
+        scanner.columns = self.columns
+        return scanner
+
     def __iter__(self) -> Iterator[Cell]:
         coalesced = self._use_coalesced()
-        if not _trace.ENABLED:
-            yield from self._iterate(coalesced)
-            return
-        with _trace.span("dbsim.batch_scan",
-                         stats=self._conn.instance.total_stats,
-                         table=self._table, ranges=len(self.ranges),
-                         coalesced=coalesced) as sp:
-            n = 0
-            for cell in self._iterate(coalesced):
-                n += 1
-                yield cell
-            sp.set(entries=n)
-
-    def _iterate(self, coalesced: bool) -> Iterator[Cell]:
-        if coalesced:
-            yield from self._iter_coalesced()
-            return
-        for rng in self.ranges:
-            scanner = Scanner(self._conn, self._table, self._scan_iterators,
-                              authorizations=self._authorizations,
-                              iterspec=self._iterspec)
-            scanner.range = rng
-            scanner.columns = self.columns
-            yield from scanner
-
-    def _iter_coalesced(self) -> Iterator[Cell]:
-        inst = self._conn.instance
-        config = inst.config(self._table)
-        auths = PUBLIC if self._authorizations is None \
-            else self._authorizations
-        scan_its = ((lambda src: VisibilityFilterIterator(src, auths),)
-                    + self._spec_factories
-                    + self._scan_iterators)
-        kw = ({"iterspec": self._spec_wire,
-               "auths": sorted(auths.tokens)}
-              if self._spec_wire else {})
-        ranges = self.ranges
-        span = Range(ranges[0].start_row, ranges[-1].stop_row)
-        for tablet in inst.tablets_for_range(self._table, span):
-            tranges = [r for r in ranges if tablet.extent.clip(r) is not None]
-            if not tranges:
-                continue
-            # one stack, one seek, covering this tablet's whole span of
-            # requested ranges; the gap cells between ranges are
-            # filtered below (ranges sorted ⇒ a single forward pass)
-            trng = Range(tranges[0].start_row, tranges[-1].stop_row)
-            it = tablet.scan_iterator(trng, config.table_iterators, scan_its,
-                                      **kw)
-            it.seek(trng, self.columns)
-            ri = 0
-            while it.has_top():
-                cell = it.top()
-                row = cell.key.row
-                while ri < len(tranges) and \
-                        tranges[ri].stop_row is not None and \
-                        row >= tranges[ri].stop_row:
-                    ri += 1
-                if ri >= len(tranges):
-                    break
-                if tranges[ri].contains_row(row):
-                    yield cell
-                it.advance()
+        if self._scan_iterators and \
+                hasattr(self._conn.instance, "scan_columns"):
+            # local callables over remote streams: per range through
+            # the scanner's per-cell stack
+            coalesced = False
+            cells = (cell for rng in self.ranges
+                     for cell in self._scanner(rng))
+        else:
+            cells = _cells(self._batches(coalesced))
+        yield from self._traced(cells, coalesced, lambda cell: 1)
 
     def scan_columns(self):
         """Bulk columnar read over all ranges: yields
-        :class:`~repro.net.cells.ColumnBatch`\\ es.  Output cells —
-        timestamps included — are bit-identical to iterating the
-        batch scanner per cell, with the same coalescing rules; the
-        ``dbsim.batch_scan`` span is emitted identically (``entries``
-        counts cells, not batches)."""
+        :class:`~repro.net.cells.ColumnBatch`\\ es, with the coalescing
+        rules above and the same ``dbsim.batch_scan`` span as per-cell
+        iteration (``entries`` counts cells, not batches)."""
         if self._scan_iterators:
             from repro.net.iterspec import NonSerializableIteratorError
             raise NonSerializableIteratorError(
@@ -378,39 +372,34 @@ class BatchScanner:
                 "to push the stack server-side, or iterate the batch "
                 "scanner instead")
         coalesced = self._use_coalesced()
+        batches = (batch for _, batch in self._batches(coalesced))
+        yield from self._traced(batches, coalesced, len)
+
+    def _traced(self, items, coalesced: bool, size):
         if not _trace.ENABLED:
-            yield from self._columns_iterate(coalesced)
+            yield from items
             return
         with _trace.span("dbsim.batch_scan",
                          stats=self._conn.instance.total_stats,
                          table=self._table, ranges=len(self.ranges),
                          coalesced=coalesced) as sp:
             n = 0
-            for batch in self._columns_iterate(coalesced):
-                n += len(batch)
-                yield batch
+            for item in items:
+                n += size(item)
+                yield item
             sp.set(entries=n)
 
-    def _columns_iterate(self, coalesced: bool):
-        if coalesced:
-            yield from self._columns_coalesced()
+    def _batches(self, coalesced: bool):
+        if not coalesced:
+            for rng in self.ranges:
+                yield from self._scanner(rng)._batches()
             return
-        for rng in self.ranges:
-            scanner = Scanner(self._conn, self._table,
-                              authorizations=self._authorizations,
-                              iterspec=self._iterspec)
-            scanner.range = rng
-            scanner.columns = self.columns
-            yield from scanner.scan_columns()
-
-    def _columns_coalesced(self):
         inst = self._conn.instance
         config = inst.config(self._table)
         auths = PUBLIC if self._authorizations is None \
             else self._authorizations
-        scan_its = ((lambda src: VisibilityFilterIterator(src, auths),)
-                    + self._spec_factories
-                    if self._spec_factories else ())
+        scan_its = _scan_layers(auths, self._spec_factories,
+                                self._scan_iterators)
         kw = ({"iterspec": self._spec_wire,
                "auths": sorted(auths.tokens)}
               if self._spec_wire else {})
@@ -420,6 +409,9 @@ class BatchScanner:
             tranges = [r for r in ranges if tablet.extent.clip(r) is not None]
             if not tranges:
                 continue
+            # one read covering this tablet's whole span of requested
+            # ranges; the gap cells between ranges are filtered below
+            # (ranges sorted ⇒ a single forward pass)
             trng = Range(tranges[0].start_row, tranges[-1].stop_row)
             ri = 0
             ntr = len(tranges)
@@ -442,8 +434,8 @@ class BatchScanner:
                     if tranges[ri].contains_row(row):
                         append(i)
                 if keep:
-                    yield batch if len(keep) == len(rows) \
-                        else batch.select(keep)
+                    yield tablet, (batch if len(keep) == len(rows)
+                                   else batch.select(keep))
                 if exhausted:
                     break
 

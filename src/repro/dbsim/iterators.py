@@ -10,9 +10,13 @@ stream of each tablet.  Every iterator implements the same contract:
   it is;
 * ``advance()`` — move to the next cell.
 
-Stacks compose bottom-up: storage iterators (memtable/sstable lists) →
-merge → versioning → table-configured iterators (combiners, filters,
-transforms) → scan-time iterators.
+Stacks compose bottom-up: storage (memtable + sorted runs) → merge →
+tombstones → versioning → table-configured iterators (combiners,
+filters, transforms) → scan-time iterators.  A tablet builds the
+storage half in one fused pass (``Tablet._read``) and stacks the rest
+on a per-cell leaf over it; :class:`ListIterator`,
+:class:`MergeIterator`, :class:`DeleteFilterIterator` and
+:class:`VersioningIterator` build the same stream one cell at a time.
 """
 
 from __future__ import annotations

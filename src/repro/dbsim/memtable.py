@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.dbsim.iterators import ListIterator
 from repro.dbsim.key import Cell
-from repro.dbsim.stats import OpStats
 
 
 class MemTable:
@@ -67,9 +65,6 @@ class MemTable:
             self._cells.sort(key=lambda c: c.key.sort_tuple())
             self._sorted = True
         return list(self._cells)
-
-    def iterator(self, stats: Optional[OpStats] = None) -> ListIterator:
-        return ListIterator(self.snapshot(), stats=stats)
 
     def clear(self) -> None:
         self._cells.clear()

@@ -1,13 +1,20 @@
 """Tablets: the unit of storage and of server-side iteration.
 
 A tablet owns a row-range *extent*, a memtable, and a stack of immutable
-sorted runs.  Scans build the canonical Accumulo stack:
+sorted runs.  Every read starts from one fused run merge
+(:meth:`Tablet._read`):
 
-    memtable + sstables → MergeIterator → VersioningIterator →
-    table-configured iterators (combiners/filters) → scan-time iterators
+    memtable + sstables → row-bisect slices → one stable merge →
+    one pass: column filter, tombstones, versioning
+
+A scan with no iterators cuts that output straight into column
+batches.  Table-configured iterators (combiners, filters) and
+scan-time iterators stack on one per-cell leaf over it
+(:class:`_ReadLeaf`); compaction runs the table's stack on the same
+leaf.
 
 Minor compactions (flush) move the memtable into a new run when it
-exceeds ``flush_bytes``; full compactions merge all runs through the
+exceeds ``flush_bytes``; full compactions rewrite all runs through the
 table's iterator stack, making combiner results durable.
 """
 
@@ -15,14 +22,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain as _chain
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.dbsim.iterators import (
     Columns,
-    DeleteFilterIterator,
-    MergeIterator,
     SortedKVIterator,
-    VersioningIterator,
     _column_match,
     drain,
 )
@@ -158,7 +164,7 @@ class Tablet:
                 self._registry.gauge(f"{prefix}.{name}").add(delta)
         self._gauge_prev = now
 
-    def _check_up(self) -> None:
+    def check_up(self) -> None:
         """Raise :class:`ServerCrashedError` when the hosting server is
         down (between ``crash()`` and ``recover()``).  Unhosted tablets
         (``server is None``) are always up — the unit-test path."""
@@ -189,7 +195,7 @@ class Tablet:
 
     def write(self, key: Key, value: str) -> None:
         """Insert one cell."""
-        self._check_up()
+        self.check_up()
         self._apply(key, value)
         self._sink.entries_written += 1
         size = self.memtable.approximate_bytes
@@ -204,7 +210,7 @@ class Tablet:
         cell-at-a-time ingest) and appended to the WAL and memtable in
         bulk; counters, gauges and the auto-flush check run **once per
         batch** — not per cell.  Returns the number of cells applied."""
-        self._check_up()
+        self.check_up()
         extent = self.extent
         contains = extent.contains_row
         clock = self._clock
@@ -234,7 +240,7 @@ class Tablet:
         :class:`Cell` exactly once, *after* its timestamp is assigned,
         instead of being built client-side and rebuilt here to stamp
         it.  Semantics are identical to ``write_batch``."""
-        self._check_up()
+        self.check_up()
         extent = self.extent
         contains = extent.contains_row
         clock = self._clock
@@ -283,7 +289,7 @@ class Tablet:
     def flush(self) -> None:
         """Minor compaction: memtable → new immutable run; the WAL
         entries it covered are no longer needed."""
-        self._check_up()
+        self.check_up()
         if len(self.memtable) == 0:
             return
         if not _trace.ENABLED:
@@ -318,122 +324,23 @@ class Tablet:
 
     # -- reads ---------------------------------------------------------------
 
-    def _storage_iterator(self, rng: Range,
-                          sink=None) -> SortedKVIterator:
+    def _read(self, clipped: Range, columns: Columns, sink) -> List[Cell]:
+        """The tablet's one storage read: every scan and every
+        compaction starts here, with or without iterators above it —
+        :meth:`_runs`, then :meth:`_merge`."""
         if sink is None:
             sink = self._sink
-        children: List[SortedKVIterator] = [self.memtable.iterator(sink)]
-        point_row = rng.single_row()
-        for run in self.sstables:
-            if not run.overlaps(rng):
-                continue
-            if point_row is not None:
-                # point lookup: consult the run's row bloom filter
-                # before opening it.  A "hit" is a run proven absent
-                # and skipped; a "miss" means the run must be read.
-                if not run.may_contain_row(point_row):
-                    self._bump_aux("bloom_hits")
-                    continue
-                self._bump_aux("bloom_misses")
-            children.append(run.iterator(sink,
-                                         on_index_seek=self._on_index_seek))
-        return MergeIterator(children)
+        return self._merge(self._runs(clipped, sink), columns, sink)
 
-    def scan_iterator(self, rng: Range,
-                      table_iterators: Sequence[IteratorFactory] = (),
-                      scan_iterators: Sequence[IteratorFactory] = (),
-                      sink=None) -> SortedKVIterator:
-        """Build the full stack, clipped to this tablet's extent.
-
-        The returned iterator is *unseeked*; callers seek it (the
-        clipped range is pre-applied by construction here).
-
-        ``sink`` redirects the stack's OpStats counting away from the
-        tablet's shared block: the shared sink's ``+=`` updates are not
-        atomic, so a server running scans concurrently hands each scan
-        a private :class:`OpStats` and folds it back with
-        :meth:`absorb_scan_stats` under its own serialization.
-        """
-        clipped = self.extent.clip(rng)
-        if clipped is None:
-            # empty stream
-            from repro.dbsim.iterators import ListIterator
-
-            return ListIterator([])
-        stack: SortedKVIterator = self._storage_iterator(clipped, sink)
-        stack = DeleteFilterIterator(stack)
-        stack = VersioningIterator(stack, self.max_versions)
-        for factory in table_iterators:
-            stack = factory(stack)
-        for factory in scan_iterators:
-            stack = factory(stack)
-        out: SortedKVIterator = _ClippedIterator(stack, clipped)
-        if self.server is not None:
-            # hosted tablet: an open scan dies with its server.  A
-            # crash between advances surfaces as ServerCrashedError
-            # instead of the scan silently reading a dead server.
-            out = _CrashGuardIterator(out, self.server)
-        return out
-
-    def scan(self, rng: Range = Range(), columns: Columns = None,
-             table_iterators: Sequence[IteratorFactory] = (),
-             scan_iterators: Sequence[IteratorFactory] = ()) -> List[Cell]:
-        """Convenience: run the stack to completion and return cells."""
-        it = self.scan_iterator(rng, table_iterators, scan_iterators)
-        return drain(it, rng, columns)
-
-    def scan_columns(self, rng: Range = Range(), columns: Columns = None,
-                     table_iterators: Sequence[IteratorFactory] = (),
-                     scan_iterators: Sequence[IteratorFactory] = (),
-                     batch_cells: int = 2048, sink=None):
-        """Bulk columnar read: drain the merged stack straight into
-        :class:`~repro.net.cells.ColumnBatch`\\ es of up to
-        ``batch_cells`` entries, never materialising per-cell objects.
-
-        The stack is built and **seeked eagerly** (so a server can do
-        that part under its service lock), then a generator yields the
-        batches.  The per-cell ``_CrashGuardIterator`` /
-        ``_ClippedIterator`` wrappers are bypassed — the range is
-        clipped here and the crash flag is re-checked once per batch,
-        which preserves the contract (a crash mid-scan surfaces as
-        :class:`ServerCrashedError` on the next batch) without paying
-        four wrapper calls per cell.
-        """
-        self._check_up()
-        clipped = self.extent.clip(rng)
-        if clipped is None:
-            return iter(())
-        if not table_iterators and not scan_iterators:
-            # no user layers: skip the per-cell stack entirely and
-            # drain the sorted runs columnar (see _fused_runs)
-            runs = self._fused_runs(clipped, sink)
-            return self._drain_columns_fused(runs, columns, batch_cells,
-                                             sink if sink is not None
-                                             else self._sink)
-        stack: SortedKVIterator = self._storage_iterator(clipped, sink)
-        stack = DeleteFilterIterator(stack)
-        stack = VersioningIterator(stack, self.max_versions)
-        for factory in table_iterators:
-            stack = factory(stack)
-        for factory in scan_iterators:
-            stack = factory(stack)
-        stack.seek(clipped, columns)
-        return self._drain_columns(stack, batch_cells)
-
-    def _fused_runs(self, clipped: Range, sink) -> List[List[Cell]]:
-        """Slice every storage run down to ``clipped`` with two row
-        bisects apiece — the eager half of the fused columnar scan.
-
-        Mirrors :meth:`_storage_iterator` + leaf ``seek`` exactly for
-        accounting purposes: one ``seeks`` bump per opened leaf, one
-        index-seek tick per opened sstable, and the same bloom-filter
-        consult (and ``bloom_hits``/``bloom_misses`` bumps) on point
-        lookups.  Run order is memtable first, then sstables in list
-        order, so merge ties resolve with the same precedence as
-        :class:`MergeIterator`.
-        """
-        if sink is None:
-            sink = self._sink
+    def _runs(self, clipped: Range, sink) -> List[List[Cell]]:
+        """Step 1 of the read, the only one that touches shared tablet
+        state: each run is sliced to ``clipped`` with two row bisects —
+        memtable first (a private snapshot), then sstables in list
+        order.  Every opened run counts one ``seeks`` (and each sstable
+        one index-seek tick); a point lookup consults each sstable's
+        row bloom filter first and skips runs proven absent
+        (``bloom_hits``; runs that must be read count
+        ``bloom_misses``).  The slices are private copies."""
         start = clipped.effective_start()
         stop = clipped.effective_stop()
         row_of = _cell_row
@@ -463,43 +370,36 @@ class Tablet:
                 runs.append(cells[lo:hi])
         return runs
 
-    def _drain_columns_fused(self, runs: List[List[Cell]],
-                             columns: Columns, batch_cells: int, sink):
-        """One fused pass over pre-sliced sorted runs: column filter →
-        tombstone suppression → versioning → column-list append, with
-        no iterator stack and no per-cell wrapper calls.  Output and
-        counters are bit-identical to the stack path."""
-        from array import array
+    def _merge(self, runs: List[List[Cell]], columns: Columns,
+               sink) -> List[Cell]:
+        """Steps 2 and 3 of the read, over :meth:`_runs`' private
+        slices.
 
-        from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
-
+        2. One stable merge: timsort gallops over the presorted runs
+           and, being stable, keeps concatenation order on key ties —
+           the memtable wins over sstables, an earlier sstable over a
+           later one.
+        3. One pass applies the column filter, tombstone suppression
+           and versioning.  Every column-matching cell counts in
+           ``entries_read``, tombstones and hidden versions included.
+        """
         if len(runs) == 1:
             merged: List[Cell] = runs[0]
         else:
-            # timsort gallops over the presorted runs and, being
-            # stable, keeps concatenation order (memtable first, then
-            # sstables) on ties — MergeIterator's earlier-child-wins
             merged = list(_chain.from_iterable(runs))
             merged.sort(key=_cell_sort_key)
         mv = self.max_versions
-        check_up = self._check_up
-        rows: List[str] = []
-        fams: List[str] = []
-        quals: List[str] = []
-        viss: List[str] = []
-        ts: List[int] = []
-        vals: List[str] = []
-        n = 0
+        out: List[Cell] = []
+        append = out.append
         entries = 0
         del_cid = None
         del_ts = 0
         last_cid = None
         seen = 0
-        check_up()
         for cell in merged:
             key = cell.key
             if columns is not None and not _column_match(key, columns):
-                continue  # leaf-level skip: not counted as read
+                continue  # column-filtered: not counted as read
             entries += 1
             cid = (key.row, key.family, key.qualifier, key.visibility)
             if key.delete:
@@ -515,68 +415,93 @@ class Tablet:
             else:
                 last_cid = cid
                 seen = 1
-            rows.append(key.row)
-            fams.append(key.family)
-            quals.append(key.qualifier)
-            viss.append(key.visibility)
-            ts.append(key.timestamp)
-            vals.append(cell.value)
-            n += 1
-            if n == batch_cells:
-                sink.entries_read += entries
-                entries = 0
-                yield ColumnBatch(rows, fams, quals, viss,
-                                  array("q", ts), [False] * n, vals)
-                check_up()
-                rows, fams, quals, viss, ts, vals = [], [], [], [], [], []
-                n = 0
+            append(cell)
         sink.entries_read += entries
-        if n:
-            yield ColumnBatch(rows, fams, quals, viss, array("q", ts),
-                              [False] * n, vals)
+        return out
 
-    def _drain_columns(self, stack: SortedKVIterator, batch_cells: int):
-        from array import array
+    def scan_iterator(self, rng: Range,
+                      table_iterators: Sequence[IteratorFactory] = (),
+                      scan_iterators: Sequence[IteratorFactory] = (),
+                      sink=None) -> SortedKVIterator:
+        """The table's iterators, then the scan's, stacked on one
+        :class:`_ReadLeaf` over :meth:`_read`, clipped to this
+        tablet's extent.  The returned stack is *unseeked*.
 
+        ``sink`` redirects the read's OpStats counting away from the
+        tablet's shared block: the shared sink's ``+=`` updates are not
+        atomic, so a server running scans concurrently hands each scan
+        a private :class:`OpStats` and folds it back with
+        :meth:`absorb_scan_stats` under its own serialization.
+        """
+        return _stack(_ReadLeaf(self, self.extent.clip(rng), sink),
+                      table_iterators, scan_iterators)
+
+    def scan(self, rng: Range = Range(), columns: Columns = None,
+             table_iterators: Sequence[IteratorFactory] = (),
+             scan_iterators: Sequence[IteratorFactory] = ()) -> List[Cell]:
+        """Run the read to completion and return its cells."""
+        self.check_up()
+        if table_iterators or scan_iterators:
+            stack = self.scan_iterator(rng, table_iterators,
+                                       scan_iterators)
+            return drain(stack, rng, columns)
+        clipped = self.extent.clip(rng)
+        return [] if clipped is None else self._read(clipped, columns,
+                                                     None)
+
+    def scan_columns(self, rng: Range = Range(), columns: Columns = None,
+                     table_iterators: Sequence[IteratorFactory] = (),
+                     scan_iterators: Sequence[IteratorFactory] = (),
+                     batch_cells: int = 2048, sink=None):
+        """Bulk columnar read: the scan's cells as
+        :class:`~repro.net.cells.ColumnBatch`\\ es of up to
+        ``batch_cells`` entries.
+
+        Only the part of the read that touches shared tablet state —
+        :meth:`_runs` — runs now, so a server can hold its service lock
+        for that alone.  The returned generator does the rest on the
+        private slices: the merge and pass, any iterator stack (drained
+        one batch at a time), and a crash check before each batch (a
+        crash mid-scan surfaces as :class:`ServerCrashedError` on the
+        next batch).
+        """
+        self.check_up()
+        clipped = self.extent.clip(rng)
+        if clipped is None:
+            return iter(())
+        if sink is None:
+            sink = self._sink
+        runs = self._runs(clipped, sink)
+        return self._columns(runs, clipped, columns, table_iterators,
+                             scan_iterators, batch_cells, sink)
+
+    def _columns(self, runs: List[List[Cell]], clipped: Range,
+                 columns: Columns,
+                 table_iterators: Sequence[IteratorFactory],
+                 scan_iterators: Sequence[IteratorFactory],
+                 batch_cells: int, sink):
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
-        check_up = self._check_up
-        has_top, top, advance = stack.has_top, stack.top, stack.advance
+        if table_iterators or scan_iterators:
+            stack = _stack(_ReadLeaf(self, clipped, sink, runs),
+                           table_iterators, scan_iterators)
+            stack.seek(clipped, columns)
+            cells = _stack_cells(stack)
+        else:
+            cells = iter(self._merge(runs, columns, sink))
         while True:
-            check_up()
-            rows: List[str] = []
-            fams: List[str] = []
-            quals: List[str] = []
-            viss: List[str] = []
-            ts: List[int] = []
-            dels: List[bool] = []
-            vals: List[str] = []
-            n = 0
-            while n < batch_cells and has_top():
-                cell = top()
-                key = cell.key
-                rows.append(key.row)
-                fams.append(key.family)
-                quals.append(key.qualifier)
-                viss.append(key.visibility)
-                ts.append(key.timestamp)
-                dels.append(key.delete)
-                vals.append(cell.value)
-                n += 1
-                advance()
-            if not n:
+            chunk = list(islice(cells, batch_cells))
+            if not chunk:
                 return
-            yield ColumnBatch(rows, fams, quals, viss, array("q", ts),
-                              dels, vals)
-            if n < batch_cells:
-                return
+            self.check_up()
+            yield ColumnBatch.from_cells(chunk)
 
     # -- maintenance ------------------------------------------------------------
 
     def compact(self, table_iterators: Sequence[IteratorFactory] = ()) -> None:
         """Major compaction: rewrite all data through the table stack
         (versioning + combiners become durable; single run remains)."""
-        self._check_up()
+        self.check_up()
         if not _trace.ENABLED:
             self._compact(table_iterators)
             return
@@ -619,71 +544,79 @@ class Tablet:
         return len(self.memtable) + sum(len(t) for t in self.sstables)
 
 
-class _CrashGuardIterator(SortedKVIterator):
-    """Fail a scan stack the moment its hosting server is crashed.
+def _stack(leaf: SortedKVIterator,
+           table_iterators: Sequence[IteratorFactory],
+           scan_iterators: Sequence[IteratorFactory]) -> SortedKVIterator:
+    stack = leaf
+    for factory in table_iterators:
+        stack = factory(stack)
+    for factory in scan_iterators:
+        stack = factory(stack)
+    return stack
 
-    Every iterator call re-checks the server's ``crashed`` flag, so a
-    crash *during* an open scan raises :class:`ServerCrashedError` on
-    the next access — the signal a remote client resumes from — rather
-    than continuing to stream a dead server's tablets.
+
+def _stack_cells(stack: SortedKVIterator) -> Iterator[Cell]:
+    while stack.has_top():
+        yield stack.top()
+        stack.advance()
+
+
+class _ReadLeaf(SortedKVIterator):
+    """Per-cell view of :meth:`Tablet._read`: the one leaf that table
+    and scan iterators stack on.
+
+    A seek is clipped to the stack's range (the tablet extent ∩ the
+    scan range); a disjoint seek leaves the leaf explicitly empty,
+    and a later seek can reuse it.  ``runs``, when given, are
+    :meth:`Tablet._runs` slices already taken for exactly that range:
+    a seek to it merges them instead of reading the tablet again, so
+    the stack above can run without the tablet's owner serializing it.
+    Every call re-checks the hosting server's ``crashed`` flag, so an
+    open stack dies with its server instead of streaming a dead
+    server's tablet.
     """
 
-    __slots__ = ("_source", "_server")
+    __slots__ = ("_tablet", "_server", "_clip", "_sink", "_runs", "_cells",
+                 "_pos", "_end")
 
-    def __init__(self, source: SortedKVIterator, server):
-        self._source = source
-        self._server = server
-
-    def _check(self) -> None:
-        if self._server.crashed:
-            raise ServerCrashedError(
-                f"tablet server {self._server.name} crashed mid-scan")
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._check()
-        self._source.seek(rng, columns)
-
-    def has_top(self) -> bool:
-        self._check()
-        return self._source.has_top()
-
-    def top(self) -> Cell:
-        self._check()
-        return self._source.top()
-
-    def advance(self) -> None:
-        self._check()
-        self._source.advance()
-
-
-class _ClippedIterator(SortedKVIterator):
-    """Restrict a stack's seeks to a pre-clipped range.
-
-    A seek whose range is disjoint from the clip short-circuits to an
-    explicit empty state — the underlying stack is never seeked, so no
-    sentinel range (and no reliance on ``row < ""`` being
-    unsatisfiable) is involved.
-    """
-
-    def __init__(self, source: SortedKVIterator, clip: Range):
-        self._source = source
+    def __init__(self, tablet: Tablet, clip: Optional[Range], sink,
+                 runs: Optional[List[List[Cell]]] = None):
+        self._tablet = tablet
+        self._server = tablet.server
         self._clip = clip
-        self._empty = False
+        self._sink = sink
+        self._runs = runs
+        self._cells: List[Cell] = []
+        self._pos = self._end = 0
 
     def seek(self, rng: Range, columns: Columns = None) -> None:
-        clipped = self._clip.clip(rng)
-        self._empty = clipped is None
-        if not self._empty:
-            self._source.seek(clipped, columns)
+        tablet = self._tablet
+        tablet.check_up()
+        clipped = None if self._clip is None else self._clip.clip(rng)
+        runs, self._runs = self._runs, None
+        if clipped is None:
+            self._cells = []
+        elif runs is not None and clipped == self._clip:
+            self._cells = tablet._merge(runs, columns, self._sink)
+        else:
+            self._cells = tablet._read(clipped, columns, self._sink)
+        self._pos = 0
+        self._end = len(self._cells)
 
     def has_top(self) -> bool:
-        return not self._empty and self._source.has_top()
+        if self._server is not None and self._server.crashed:
+            self._tablet.check_up()  # raises ServerCrashedError
+        return self._pos < self._end
 
     def top(self) -> Cell:
-        if self._empty:
+        if self._server is not None and self._server.crashed:
+            self._tablet.check_up()
+        if self._pos >= self._end:
             raise StopIteration("iterator exhausted")
-        return self._source.top()
+        return self._cells[self._pos]
 
     def advance(self) -> None:
-        if not self._empty:
-            self._source.advance()
+        if self._server is not None and self._server.crashed:
+            self._tablet.check_up()
+        if self._pos < self._end:
+            self._pos += 1

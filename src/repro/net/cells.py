@@ -8,17 +8,21 @@ packs the same 7-tuples columnar instead::
 
     !BI                 format version, cell count N
     5 × string column   (row, family, qualifier, visibility, value):
-        !{N}I           per-entry byte lengths
-        ...             the N UTF-8 entries, concatenated
+        !BI             column mode, data byte length L
+        mode 0          L bytes: the N UTF-8 entries joined by NUL
+        mode 1          !{N}I per-entry byte lengths, then L bytes:
+                        the N UTF-8 entries concatenated
     !{N}q               timestamps (int64)
     {N}s                delete flags (one byte each, 0/1)
 
-Length-prefixed column arrays decode with two ``struct.unpack_from``
-calls per column plus one ``memoryview`` slice per string — no
-intermediate list-of-lists, no JSON tokenizer — and the decoder returns
-*columns*, which is exactly the shape the engine's bulk paths
-(``AssocArray.from_triples``, ``write_raw_batch``) want.  Encoding a
-10k-cell chunk is one ``b"".join`` of precomputed parts.
+Mode 0 is the common case: a column encodes with one ``join`` and one
+``encode``, and decodes with one UTF-8 pass and one ``str.split`` — C
+loops end to end, no per-entry interpreter work, and one separator byte
+per entry instead of a four-byte length.  UTF-8 never emits a zero byte
+for any other character, so the split is exact; only a column whose
+entries themselves contain NUL falls back to mode 1.  The decoder
+returns *columns*, which is exactly the shape the engine's bulk paths
+(``AssocArray.from_triples``, ``write_raw_batch``) want.
 
 The columnar shape now has a first-class carrier: :class:`ColumnBatch`
 holds the seven parallel columns (timestamps as ``array('q')``) and is
@@ -41,22 +45,22 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import accumulate
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.dbsim.key import Cell, Key
 
 #: bump when the block layout changes; verified on every decode
-BLOCK_FORMAT = 1
+BLOCK_FORMAT = 2
 
 _HDR = struct.Struct("!BI")
+#: per string column: layout mode, data byte length
+_COL = struct.Struct("!BI")
+_COL_JOINED = 0   # entries joined by NUL
+_COL_LENGTHS = 1  # per-entry byte lengths (an entry contains NUL)
+_SEP = "\x00"
 
 #: (row, family, qualifier, visibility, timestamp, delete, value)
 MutTuple = Tuple[str, str, str, str, int, bool, str]
-
-#: indexes of the five string components within a mutation tuple, in
-#: block order (timestamps and delete flags are packed separately)
-_STR_FIELDS = (0, 1, 2, 3, 6)
 
 _LITTLE = sys.byteorder == "little"
 #: array typecodes are only usable as wire codecs when their itemsize
@@ -95,47 +99,19 @@ def _pack_i64(values, n: int) -> bytes:
 
 
 def encode_block(muts: Sequence[MutTuple]) -> bytes:
-    """Pack mutation/cell 7-tuples into one binary block.
-
-    One pass over ``muts`` fills the five per-column byte lists, the
-    timestamp list and the delete bitmap together; each column is then
-    one length-array pack plus one ``b"".join``.
-    """
-    n = len(muts)
-    if not n:
+    """Pack mutation/cell 7-tuples into one binary block: one C-level
+    transpose into columns, then :func:`encode_columns`."""
+    if not muts:
         return _HDR.pack(BLOCK_FORMAT, 0)
-    rows: List[bytes] = []
-    fams: List[bytes] = []
-    quals: List[bytes] = []
-    viss: List[bytes] = []
-    vals: List[bytes] = []
-    ts: List[int] = []
-    flags = bytearray(n)
-    i = 0
-    for row, fam, qual, vis, t, d, val in muts:
-        rows.append(row.encode("utf-8"))
-        fams.append(fam.encode("utf-8"))
-        quals.append(qual.encode("utf-8"))
-        viss.append(vis.encode("utf-8"))
-        vals.append(val.encode("utf-8"))
-        ts.append(t)
-        if d:
-            flags[i] = 1
-        i += 1
-    parts: List[bytes] = [_HDR.pack(BLOCK_FORMAT, n)]
-    for col in (rows, fams, quals, viss, vals):
-        parts.append(_pack_u32(map(len, col), n))
-        parts.append(b"".join(col))
-    parts.append(_pack_i64(ts, n))
-    parts.append(bytes(flags))
-    return b"".join(parts)
+    rows, fams, quals, viss, ts, dels, vals = zip(*muts)
+    return encode_columns(rows, fams, quals, viss, ts, dels, vals)
 
 
 def encode_columns(rows: Sequence[str], families: Sequence[str],
                    qualifiers: Sequence[str], visibilities: Sequence[str],
                    timestamps, deletes, values: Sequence[str]) -> bytes:
-    """Pack seven parallel columns into one binary block — the columnar
-    twin of :func:`encode_block` (no per-cell tuples anywhere).
+    """Pack seven parallel columns into one binary block (no per-cell
+    tuples anywhere).
 
     ``timestamps`` may be any int sequence (``array('q')`` included);
     ``deletes`` may be a bool sequence or a ``bytes``/``bytearray``
@@ -146,22 +122,21 @@ def encode_columns(rows: Sequence[str], families: Sequence[str],
         return _HDR.pack(BLOCK_FORMAT, 0)
     parts: List[bytes] = [_HDR.pack(BLOCK_FORMAT, n)]
     for col in (rows, families, qualifiers, visibilities, values):
-        blob = "".join(col)
-        data = blob.encode("utf-8")
-        if len(data) == len(blob):
-            # pure ASCII: byte lengths == str lengths, so the column
-            # encodes with ONE join + ONE encode instead of n encodes
-            parts.append(_pack_u32(map(len, col), n))
+        joined = _SEP.join(col)
+        if joined.count(_SEP) == n - 1:
+            data = joined.encode("utf-8")
+            parts.append(_COL.pack(_COL_JOINED, len(data)))
         else:
             enc = [s.encode("utf-8") for s in col]
-            parts.append(_pack_u32(map(len, enc), n))
             data = b"".join(enc)
+            parts.append(_COL.pack(_COL_LENGTHS, len(data)))
+            parts.append(_pack_u32(map(len, enc), n))
         parts.append(data)
     parts.append(_pack_i64(timestamps, n))
     if isinstance(deletes, (bytes, bytearray)):
         parts.append(bytes(deletes))
     else:
-        parts.append(bytes(1 if d else 0 for d in deletes))
+        parts.append(bytes(map(bool, deletes)))
     return b"".join(parts)
 
 
@@ -175,43 +150,37 @@ def _parse(buf) -> Tuple[List[str], List[str], List[str], List[str],
     if fmt != BLOCK_FORMAT:
         raise BlockFormatError(f"cell block format {fmt} != supported "
                                f"{BLOCK_FORMAT}")
+    if not n:
+        return [], [], [], [], array("q"), [], []
     off = _HDR.size
     str_cols: List[List[str]] = []
     try:
-        lens_fmt = f"!{n}I"
-        lens_size = 4 * n
-        for _ in _STR_FIELDS:
-            lens = struct.unpack_from(lens_fmt, view, off)
-            off += lens_size
-            total = sum(lens)
-            col: List[str]
-            if not total:
-                # empty column (family/visibility are usually all "")
-                col = [""] * n
-            else:
-                blob = str(view[off:off + total], "utf-8")
-                if len(blob) == total:
-                    # pure ASCII: char offsets == byte offsets, so the
-                    # column decodes with ONE utf-8 pass + str slices;
-                    # map(getitem, map(slice, ...)) keeps the per-entry
-                    # work in C instead of interpreter dispatch
-                    if total == n and max(lens) == 1:
-                        # every entry is one char (family/qualifier
-                        # columns usually are): list() splits in C
-                        col = list(blob)
-                    else:
-                        bounds = list(accumulate(lens, initial=0))
-                        col = list(map(blob.__getitem__,
-                                       map(slice, bounds, bounds[1:])))
-                else:
-                    raw = view[off:off + total]
-                    col = []
-                    append = col.append
-                    pos = 0
-                    for ln in lens:
-                        append(str(raw[pos:pos + ln], "utf-8"))
-                        pos += ln
+        for _ in range(5):
+            mode, total = _COL.unpack_from(view, off)
+            off += _COL.size
+            if mode == _COL_LENGTHS:
+                lens = struct.unpack_from(f"!{n}I", view, off)
+                off += 4 * n
+                if sum(lens) != total:
+                    raise ValueError("entry lengths disagree with the "
+                                     "column length")
+            elif mode != _COL_JOINED:
+                raise ValueError(f"unknown string column mode {mode}")
+            raw = view[off:off + total]
+            if len(raw) != total:
+                raise struct.error("truncated string column")
             off += total
+            if mode == _COL_JOINED:
+                col = str(raw, "utf-8").split(_SEP)
+                if len(col) != n:
+                    raise ValueError(f"string column holds {len(col)} "
+                                     f"entries, not {n}")
+            else:
+                col = []
+                pos = 0
+                for ln in lens:
+                    col.append(str(raw[pos:pos + ln], "utf-8"))
+                    pos += ln
             str_cols.append(col)
         if len(view) - off < 8 * n:
             raise struct.error("truncated timestamps")
@@ -302,13 +271,16 @@ class ColumnBatch:
         return cls(rows, fams, quals, viss, array("q", ts), dels, vals)
 
     def cells(self) -> List[Cell]:
-        """Materialise per-cell objects — the lazy escape hatch.
+        """Materialise per-cell objects — the lazy escape hatch."""
+        return list(self.iter_cells())
+
+    def iter_cells(self) -> Iterator[Cell]:
+        """Build the per-cell objects one at a time, so a per-cell
+        consumer of a large coalesced batch never holds all of them.
 
         Same pickle-style ``__new__`` + ``__dict__`` construction as
         :func:`block_to_cells` (and bit-identical to it)."""
         key_new, cell_new = Key.__new__, Cell.__new__
-        out: List[Cell] = []
-        append = out.append
         for r, f, q, v, t, d, val in zip(self.rows, self.families,
                                          self.qualifiers,
                                          self.visibilities,
@@ -319,8 +291,7 @@ class ColumnBatch:
                                 visibility=v, timestamp=t, delete=d)
             cell = cell_new(Cell)
             cell.__dict__.update(key=key, value=val)
-            append(cell)
-        return out
+            yield cell
 
     def to_block(self) -> bytes:
         return encode_columns(self.rows, self.families, self.qualifiers,

@@ -165,11 +165,14 @@ class RpcCore:
         self._addr_strs: Dict[Addr, str] = {}
         self._runner = _LoopRunner("repro-net-loop")
         self.aio = AsyncRpcCore(self.metrics, self.retry, seed=seed)
-        # pre-register the health counters so a metrics export always
-        # shows them (at 0), not only after the first retry/timeout
+        # pre-register every counter the client increments so a metrics
+        # export always shows them (at 0), not only after the first
+        # retry/timeout/scan
         for name in ("requests", "retries", "timeouts", "relocates",
                      "errors", "busy_retries", "pool_evictions",
-                     "stale_frames", "sampled_out"):
+                     "stale_frames", "sampled_out", "bytes_sent",
+                     "bytes_received", "pool_hits", "pool_misses",
+                     "scan_chunks", "scan_resumes", "stream_overruns"):
             self.metrics.counter(f"net.client.{name}")
         # cached: bumped per unsampled call span on the hot path
         self._sampled_out = self.metrics.counter("net.client.sampled_out")

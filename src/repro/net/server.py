@@ -648,7 +648,9 @@ class TabletServerService(_BaseService):
         # block folded back under the service lock when it finishes
         scan_stats = OpStats()
         tablet = None
-        cell_counter: Optional[_CellCounter] = None
+        #: the pushed-down chain's counter, once the tablet builds the
+        #: stack (lazily, on the first batch)
+        holder: List[_CellCounter] = []
         emitted = 0
         try:
             # validate the push-down spec BEFORE touching the tablet: a
@@ -657,8 +659,6 @@ class TabletServerService(_BaseService):
                 p.get("iterspec"))
             push: Tuple = ()
             if spec_factories:
-                holder: List[_CellCounter] = []
-
                 def _counted(src, _h=holder):
                     c = _CellCounter(src)
                     _h.append(c)
@@ -680,12 +680,13 @@ class TabletServerService(_BaseService):
                 rng = wire.wire_to_range(p["range"])
                 columns = ([tuple(c) for c in p["columns"]]
                            if p.get("columns") else None)
-                # columnar drain: the merged stack's cells go straight
-                # into ColumnBatch columns, and the CHUNK block is
-                # encoded from those columns — no List[Cell] staging,
-                # no cells_to_block re-walk.  A pushed-down stack makes
-                # the tablet fall back from the fused columnar runs to
-                # the per-cell iterator chain; framing stays columnar.
+                # columnar drain: under the lock the tablet only slices
+                # its runs (the one part of its read that touches shared
+                # state); the merge, the pass and any iterator stack —
+                # the table's and a pushed-down spec's, on the tablet's
+                # per-cell leaf over that same merge — run as the
+                # batches are pulled below, outside the lock.  Each
+                # CHUNK block is encoded from a batch's columns.
                 batches = tablet.scan_columns(
                     rng, columns, config.table_iterators,
                     scan_iterators=push,
@@ -694,8 +695,6 @@ class TabletServerService(_BaseService):
                 counters("net.server.pushdown.stacks").inc()
                 counters("net.server.pushdown.ops").inc(
                     len(spec_factories))
-                if holder:
-                    cell_counter = holder[0]
             resume = p.get("resume")
             skip_past = Key(*resume).sort_tuple() if resume else None
             scan_bytes = counters(f"net.server.table.{table}.scan_bytes")
@@ -763,9 +762,9 @@ class TabletServerService(_BaseService):
             self._respond(state, wire.ERROR, wire.error_payload(exc),
                           wire.SCAN, req)
         finally:
-            if cell_counter is not None:
+            if holder:
                 counters("net.server.pushdown.cells_folded").inc(
-                    max(0, cell_counter.count - emitted))
+                    max(0, holder[0].count - emitted))
             if tablet is not None and (scan_stats.seeks
                                        or scan_stats.entries_read):
                 with self._lock:

@@ -112,6 +112,28 @@ class TestScriptedSequence:
             "seeks": 6, "entries_read": 18, "entries_written": 6,
             "flushes": 1, "compactions": 1}
 
+    def test_partially_consumed_scan_counts_whole_tablet_read(self, setup):
+        """A scan reads a tablet's run slices in one merge on its first
+        batch, so a consumer that stops early still pays (and counts)
+        that tablet's whole read.  ``table_intersect``'s lockstep
+        abandons the longer table once the shorter one runs out."""
+        from repro.dbsim.graphulo_algorithms import table_intersect
+
+        reg, inst, conn = setup
+        conn.create_table("long")
+        ingest(conn, n=3)  # "t": r0..r2
+        with conn.batch_writer("long") as w:
+            for i in range(10):
+                w.put(f"r{i}", "", "q", "1")
+        delta = table_intersect(conn, "t", "long", "out")
+        assert [c.key.row for c in conn.scanner("out")] == \
+            ["r0", "r1", "r2"]
+        # one memtable seek per scanned table; "long" is read in full
+        # (10 entries) although the lockstep consumed only 3 of its cells
+        assert delta.as_dict() == {
+            "seeks": 2, "entries_read": 3 + 10, "entries_written": 3,
+            "flushes": 1, "compactions": 0}
+
     def test_registry_counters_match_opstats(self, setup):
         reg, inst, conn = setup
         ingest(conn)

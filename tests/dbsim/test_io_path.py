@@ -1,4 +1,4 @@
-"""The indexed/batched/cached I/O path: SSTable block indexes + bloom
+"""The indexed/batched/cached I/O path: SSTable row bisects + bloom
 filters, write_batch / BatchWriter / coalescing BatchScanner, and the
 bisect-based tablet locate cache.
 
@@ -73,26 +73,24 @@ class TestSSTableIndex:
         return SSTable(_cells([(f"r{i:05d}", f"q{i % 3}", 1, str(i))
                                for i in range(n)]))
 
-    def test_indexed_seek_matches_linear_scan(self):
+    def _tablet(self, run):
+        tablet = Tablet(Range())
+        tablet.sstables.append(run)
+        return tablet
+
+    def test_row_bisect_matches_linear_scan(self):
         run = self.make_run()
-        # every seek target must land exactly where a full scan would
+        tablet = self._tablet(run)
+        # every read must start exactly where a full linear scan would
         for start in ["r00000", "r00063", "r00064", "r00065", "r00250",
                       "r0025", "r00499", "zzz", ""]:
-            it = run.iterator()
-            it.seek(Range(start, None))
-            got = it.top().key.row if it.has_top() else None
-            want = next((c.key.row for c in run.cells()
-                         if c.key.row >= start), None)
-            assert got == want, f"seek({start!r})"
+            got = tablet.scan(Range(start or None, None))
+            want = [c for c in run.cells() if c.key.row >= start]
+            assert got == want, f"read({start!r})"
 
-    def test_seek_respects_stop_row(self):
-        run = self.make_run(200)
-        it = run.iterator()
-        it.seek(Range("r00100", "r00110"))
-        rows = []
-        while it.has_top():
-            rows.append(it.top().key.row)
-            it.advance()
+    def test_read_respects_stop_row(self):
+        tablet = self._tablet(self.make_run(200))
+        rows = [c.key.row for c in tablet.scan(Range("r00100", "r00110"))]
         assert rows == [f"r{i:05d}" for i in range(100, 110)]
 
     def test_bounds_and_overlaps(self):
@@ -272,6 +270,97 @@ class TestClippedSeek:
         assert it.has_top()
         assert it.top().key.row == "n"
 
+
+
+class TestDeferredColumnarRead:
+    """``Tablet.scan_columns`` slices its runs at call time (the part a
+    tablet server does under its lock) and leaves the merge, the pass
+    and any iterator stack to the returned generator."""
+
+    def _tablet(self):
+        tablet = Tablet(Range())
+        for i in range(6):
+            tablet.write(Key(f"r{i}", "f", "q"), str(i))
+        tablet.flush()
+        for i in range(6, 9):
+            tablet.write(Key(f"r{i}", "f", "q"), str(i))
+        return tablet
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_runs_sliced_now_merged_on_first_batch(self, stacked):
+        from repro.dbsim.iterators import SummingCombiner
+        from repro.dbsim.stats import OpStats
+
+        tablet = self._tablet()
+        sink = OpStats()
+        table_its = ((lambda src: SummingCombiner(src)),) if stacked \
+            else ()
+        batches = tablet.scan_columns(Range(), None, table_its, sink=sink)
+        # memtable + one sstable opened; nothing merged or read yet
+        assert (sink.seeks, sink.entries_read) == (2, 0)
+        # a write landing after the call is not in the open scan
+        tablet.write(Key("r99", "f", "q"), "99")
+        rows = [c.key.row for b in batches for c in b.cells()]
+        assert rows == [f"r{i}" for i in range(9)]
+        assert (sink.seeks, sink.entries_read) == (2, 9)
+
+    def test_reads_outside_the_lock_race_writes_flushes_compactions(self):
+        """Stress: scans slice their runs under a lock (as a tablet
+        server does) and merge, stack and batch outside it while
+        writers, flushes and compactions keep changing the tablet.
+        Each scan must return a sorted, duplicate-free stream holding
+        every row committed before it sliced."""
+        import sys
+        import threading
+
+        from repro.dbsim.iterators import SummingCombiner
+
+        tablet = Tablet(Range(), flush_bytes=1500)
+        lock = threading.Lock()
+        committed = []
+        done = threading.Event()
+        failures = []
+
+        def writer(w):
+            for i in range(150):
+                with lock:
+                    row = f"w{w}-{i:03d}"
+                    tablet.write(Key(row, "f", "q"), "1")
+                    committed.append(row)
+                    if i % 50 == 49:
+                        tablet.compact()
+
+        def scanner(stacked):
+            table_its = ((lambda src: SummingCombiner(src)),) \
+                if stacked else ()
+            while not done.is_set():
+                with lock:
+                    before = set(committed)
+                    batches = tablet.scan_columns(Range(), None, table_its,
+                                                  batch_cells=32)
+                rows = [r for b in batches for r in b.rows]
+                if rows != sorted(set(rows)) or not before <= set(rows):
+                    failures.append(len(rows))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=writer, args=(w,))
+                       for w in range(3)]
+            scanners = [threading.Thread(target=scanner, args=(k % 2,))
+                        for k in range(3)]
+            for t in writers + scanners:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            done.set()
+            for t in scanners:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in writers + scanners)
+        assert failures == []
+        assert [c.key.row for c in tablet.scan()] == sorted(committed)
 
 class TestTabletSplit:
     def test_split_partitions_runs_without_rescan(self):

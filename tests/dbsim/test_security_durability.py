@@ -13,6 +13,7 @@ from repro.dbsim import (
     check_expression,
     parse_visibility,
 )
+from repro.dbsim.iterators import SummingCombiner
 from repro.dbsim.key import Key, Range
 from repro.dbsim.server import Instance
 
@@ -245,6 +246,20 @@ class TestCrashedServerErrors:
         self._crash_all(conn)
         with pytest.raises(ServerCrashedError):
             next(scan)
+
+    def test_crash_mid_stacked_read_raises(self, conn):
+        """An open iterator stack on a hosted tablet dies with its
+        server: the read leaf under it re-checks the crash flag."""
+        with conn.batch_writer("t") as w:
+            for i in range(3):
+                w.put(f"r{i}", "", "q", i)
+        tablet = conn.instance.locate("t", "r0")
+        it = tablet.scan_iterator(Range(), (SummingCombiner,))
+        it.seek(Range())
+        assert it.top().key.row == "r0"
+        self._crash_all(conn)
+        with pytest.raises(ServerCrashedError):
+            it.advance()
 
     def test_write_on_crashed_server_raises(self, conn):
         self._crash_all(conn)

@@ -52,6 +52,29 @@ class TestRoundTrip:
         assert batch.deletes == [True] * 100
         assert all(c.key.delete for c in batch.cells())
 
+    def test_nul_in_entries_falls_back_to_lengths(self):
+        # a NUL inside an entry would break the joined split, so that
+        # column (and only that column) carries per-entry lengths
+        muts = [mut(row="a\x00b", val="x"), mut(row="\x00", val="é\x00"),
+                mut(row="", val="")]
+        block = cells.encode_block(muts)
+        assert cells.decode_mutations(block) == muts
+        clean = cells.encode_block([mut(row="ab", val="x"),
+                                    mut(row="c", val="y"),
+                                    mut(row="d", val="z")])
+        assert len(block) > len(clean)  # the length arrays are extra
+
+    def test_joined_columns_are_smaller_than_length_prefixed(self):
+        muts = [mut(row=f"r{i:05d}", val=str(i)) for i in range(1000)]
+        block = cells.encode_block(muts)
+        # 5 string columns at one separator byte per entry, plus the
+        # timestamp and delete-flag bytes: no four-byte lengths
+        payload = sum(len(s) for m in muts for s in
+                      (m[0], m[1], m[2], m[3], m[6]))
+        assert len(block) == (5 + 5 * 5 + payload + 5 * (1000 - 1)
+                              + 8 * 1000 + 1000)
+        assert cells.decode_mutations(block) == muts
+
     def test_encode_columns_matches_encode_block(self):
         rng = random.Random(7)
         muts = [random_mut(rng) for _ in range(300)]
@@ -130,6 +153,25 @@ class TestBadBlocks:
         block = cells.encode_block([mut(), mut(row="r2")])
         with pytest.raises(cells.BlockFormatError):
             cells.decode_batch(block[:-1])
+
+    def test_truncated_string_column_rejected(self):
+        block = cells.encode_block([mut(row="row-one"), mut(row="row-two")])
+        with pytest.raises(cells.BlockFormatError):
+            cells.decode_batch(block[:12])
+
+    def test_unknown_column_mode_rejected(self):
+        block = bytearray(cells.encode_block([mut()]))
+        block[5] = 7  # first string column's mode byte
+        with pytest.raises(cells.BlockFormatError):
+            cells.decode_batch(bytes(block))
+
+    def test_joined_column_entry_count_checked(self):
+        # a joined column whose split disagrees with the cell count
+        block = bytearray(cells.encode_block([mut(row="ab"),
+                                              mut(row="cd")]))
+        block[10 + 2] = ord("x")  # the row column's NUL separator
+        with pytest.raises(cells.BlockFormatError):
+            cells.decode_batch(bytes(block))
 
     def test_bad_format_version_rejected(self):
         block = bytearray(cells.encode_block([mut()]))

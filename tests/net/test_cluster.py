@@ -17,7 +17,7 @@ from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance, TableConfig
 from repro.net import wire
-from repro.net.client import RemoteConnector, RetryPolicy
+from repro.net.client import RemoteConnector, RetryPolicy, RpcCore
 from repro.net.cluster import LocalCluster
 from repro.net.server import SCAN_CHUNK_CELLS
 from repro.obs.metrics import MetricsRegistry
@@ -119,6 +119,84 @@ class TestClusterBasics:
             assert list(conn.scanner("d")) == before
         finally:
             conn.close()
+
+
+    def test_batch_scanner_local_callables_run_per_range(self, cluster):
+        """Local scan-iterator callables cannot ride the columnar
+        stream, so a remote BatchScanner with them scans per range
+        (and its span says so) with the same cells as the local
+        backend."""
+        from repro.dbsim.iterators import SortedKVIterator
+        from repro.obs import trace
+
+        class Upper(SortedKVIterator):
+            def __init__(self, src):
+                self._src = src
+
+            def seek(self, rng, columns=None):
+                self._src.seek(rng, columns)
+
+            def has_top(self):
+                return self._src.has_top()
+
+            def top(self):
+                cell = self._src.top()
+                return type(cell)(cell.key, cell.value.upper())
+
+            def advance(self):
+                self._src.advance()
+
+        ranges = [Range.exact_row("r03"), Range("r10", "r13")]
+        local = Connector(Instance(n_servers=1))
+        conn = _fresh(cluster)
+        try:
+            for c in (local, conn):
+                c.create_table("bs", splits=["r08"])
+                with c.batch_writer("bs") as w:
+                    for i in range(20):
+                        w.put(f"r{i:02d}", "f", "q", f"v{i}")
+            want = list(local.batch_scanner("bs", [Upper],
+                                            coalesce=True)
+                        .set_ranges(ranges))
+            sink = trace.InMemorySink()
+            trace.enable(sink)
+            try:
+                got = list(conn.batch_scanner("bs", [Upper], coalesce=True)
+                           .set_ranges(ranges))
+            finally:
+                trace.disable()
+                trace.set_sink(trace.NullSink())
+            assert [(c.key.row, c.value) for c in got] == \
+                [("r03", "V3"), ("r10", "V10"), ("r11", "V11"),
+                 ("r12", "V12")]
+            assert [(c.key.row, c.value) for c in got] == \
+                [(c.key.row, c.value) for c in want]
+            (span,) = sink.spans("dbsim.batch_scan")
+            assert span["attrs"]["coalesced"] is False
+            assert span["attrs"]["entries"] == 4
+        finally:
+            conn.close()
+
+class TestClientCounters:
+    #: every ``net.client.*`` counter the client core increments
+    COUNTERS = ("requests", "retries", "timeouts", "relocates", "errors",
+                "busy_retries", "pool_evictions", "stale_frames",
+                "sampled_out", "bytes_sent", "bytes_received", "pool_hits",
+                "pool_misses", "scan_chunks", "scan_resumes",
+                "stream_overruns")
+
+    def test_every_counter_preregistered_at_zero(self):
+        """A fresh core's export lists each counter at 0, so a reader
+        (perfbench, ``repro top``, a test) never hits a missing key
+        before the first retry, pooled connection or scan."""
+        registry = MetricsRegistry()
+        core = RpcCore(metrics=registry)
+        try:
+            export = registry.export()
+        finally:
+            core.close()
+        for name in self.COUNTERS:
+            assert export.get(f"net.client.{name}") == 0, name
 
 
 class TestFaultedCluster:
